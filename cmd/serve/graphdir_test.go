@@ -13,7 +13,6 @@ import (
 
 	"repro/graphio"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/oracle"
 )
 
@@ -51,7 +50,7 @@ func TestServeGraphDirEndToEnd(t *testing.T) {
 		t.Fatalf("names = %v", names)
 	}
 
-	srv := httptest.NewServer(newMux(reg, nil, obs.NewRegistry(), obs.NewTracer("serve", obs.TracerOptions{}), obs.NewSLO(obs.DefaultObjective(), nil), nil, nil))
+	srv := httptest.NewServer(testMux(reg))
 	defer srv.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -134,7 +133,7 @@ func TestHealthzStarting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newMux(reg, nil, obs.NewRegistry(), obs.NewTracer("serve", obs.TracerOptions{}), obs.NewSLO(obs.DefaultObjective(), nil), nil, nil))
+	srv := httptest.NewServer(testMux(reg))
 	defer srv.Close()
 
 	get := func() (int, string) {

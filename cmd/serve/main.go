@@ -42,10 +42,10 @@
 //	POST /graphs/{name}/reload      rebuild + hot swap
 //	GET  /healthz                   registry aggregate status (503 until a graph serves)
 //
-// The legacy single-graph routes /dist and /path redirect to the
-// "default" graph. With -save-snapshot the built default engine is
-// persisted once ready, so the next start can come up via -snapshot (or
-// -snapshot-dir) without rebuilding.
+// The single-graph flags (-n/-m, -in, -snapshot) register graph
+// "default", served under /graphs/default/…. With -save-snapshot the
+// built default engine is persisted once ready, so the next start can
+// come up via -snapshot (or -snapshot-dir) without rebuilding.
 //
 // SIGINT/SIGTERM shut down gracefully: the listener stops accepting,
 // in-flight HTTP requests drain (bounded by -drain), and the registry
@@ -298,8 +298,8 @@ func main() {
 	slog.Info("shut down cleanly")
 }
 
-// newMux mounts the registry handler, the observability endpoints
-// (/metrics, /slo, /trace/{id}), and the legacy single-graph routes.
+// newMux mounts the registry handler and the observability endpoints
+// (/metrics, /slo, /trace/{id}).
 func newMux(reg *oracle.Registry, lim *admission.Limiter, prom *obs.Registry, tr *obs.Tracer, slo *obs.SLO, auditor *audit.Auditor, tracePeers []string) http.Handler {
 	rh := oracle.NewRegistryHandler(reg)
 	mux := http.NewServeMux()
@@ -319,9 +319,6 @@ func newMux(reg *oracle.Registry, lim *admission.Limiter, prom *obs.Registry, tr
 		peersFn = func() []string { return tracePeers }
 	}
 	mux.Handle("/trace/", obs.TraceHandler(tr, nil, peersFn))
-	// Legacy single-graph routes target the default graph.
-	mux.HandleFunc("/dist", redirectDefault)
-	mux.HandleFunc("/path", redirectDefault)
 	return mux
 }
 
@@ -535,16 +532,6 @@ func shardConfig(eps float64, paths bool, targetBytes int64) shard.Config {
 		EpsilonLocal:  eps,
 		PathReporting: paths,
 	}
-}
-
-// redirectDefault maps the legacy /dist and /path routes onto the default
-// graph's registry routes, preserving the query string.
-func redirectDefault(w http.ResponseWriter, r *http.Request) {
-	target := "/graphs/default" + r.URL.Path
-	if r.URL.RawQuery != "" {
-		target += "?" + r.URL.RawQuery
-	}
-	http.Redirect(w, r, target, http.StatusTemporaryRedirect)
 }
 
 // saveSnapshot persists the current default engine through a refcounted

@@ -11,22 +11,34 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/oracle"
 )
 
+// testMux mounts newMux the way main() does, minus admission and audit.
+func testMux(reg *oracle.Registry) http.Handler {
+	return newMux(reg, nil, obs.NewRegistry(), obs.NewTracer("serve", obs.TracerOptions{}), obs.NewSLO(obs.DefaultObjective(), nil), nil, nil)
+}
+
 // TestServeDistEndToEnd wires the same pipeline as main() — generate a
-// graph, build the engine, mount the handler — and answers a /dist
-// request over real HTTP.
+// graph, register it as "default", mount the routes — and answers a
+// /graphs/default/dist request over real HTTP.
 func TestServeDistEndToEnd(t *testing.T) {
 	g := graph.Gnm(256, 1024, graph.UniformWeights(1, 8), 1)
-	eng, err := oracle.New(g, append(buildOpts(0.25, true), oracle.WithDistCache(64))...)
-	if err != nil {
+	reg := oracle.NewRegistry(oracle.RegistryConfig{EngineOptions: []oracle.Option{oracle.WithDistCache(64)}})
+	defer reg.Close()
+	if err := reg.Add("default", oracle.GraphSource(g, buildOpts(0.25, true)...)); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(oracle.NewHandler(eng))
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := reg.WaitReady(ctx, "default"); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(testMux(reg))
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/dist?source=0&target=255")
+	resp, err := http.Get(srv.URL + "/graphs/default/dist?source=0&target=255")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,6 +47,7 @@ func TestServeDistEndToEnd(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	var out struct {
+		Graph  string   `json:"graph"`
 		Source int32    `json:"source"`
 		Target int32    `json:"target"`
 		Dist   *float64 `json:"dist"`
@@ -42,8 +55,8 @@ func TestServeDistEndToEnd(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Source != 0 || out.Target != 255 {
-		t.Errorf("echoed vertices %d→%d", out.Source, out.Target)
+	if out.Graph != "default" || out.Source != 0 || out.Target != 255 {
+		t.Errorf("echoed %q %d→%d", out.Graph, out.Source, out.Target)
 	}
 	if out.Dist == nil || *out.Dist <= 0 {
 		t.Errorf("dist = %v, want a positive finite distance", out.Dist)
@@ -52,8 +65,7 @@ func TestServeDistEndToEnd(t *testing.T) {
 
 // TestServeSnapshotDirMultiGraph wires the -snapshot-dir path of main():
 // two named snapshots load onto the registry in the background, each graph
-// reports its own readiness, and the legacy /dist route redirects to the
-// default graph's registry route.
+// reports its own readiness, and the default graph answers by name.
 func TestServeSnapshotDirMultiGraph(t *testing.T) {
 	dir := t.TempDir()
 	for _, c := range []struct {
@@ -94,12 +106,7 @@ func TestServeSnapshotDirMultiGraph(t *testing.T) {
 		cancel()
 	}
 
-	rh := oracle.NewRegistryHandler(reg)
-	mux := http.NewServeMux()
-	mux.Handle("/graphs", rh)
-	mux.Handle("/graphs/", rh)
-	mux.HandleFunc("/dist", redirectDefault)
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewServer(testMux(reg))
 	defer srv.Close()
 
 	for _, name := range names {
@@ -113,14 +120,13 @@ func TestServeSnapshotDirMultiGraph(t *testing.T) {
 		}
 	}
 
-	// The legacy route follows the redirect onto the default graph.
-	resp, err := http.Get(srv.URL + "/dist?source=0&target=119")
+	resp, err := http.Get(srv.URL + "/graphs/default/dist?source=0&target=119")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy /dist: %d", resp.StatusCode)
+		t.Fatalf("default /dist: %d", resp.StatusCode)
 	}
 	var out struct {
 		Graph string   `json:"graph"`
@@ -130,7 +136,7 @@ func TestServeSnapshotDirMultiGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.Graph != "default" || out.Dist == nil || *out.Dist <= 0 {
-		t.Fatalf("legacy payload: %+v", out)
+		t.Fatalf("default payload: %+v", out)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/graphio"
-	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/testkit"
 	"repro/oracle"
@@ -63,7 +62,7 @@ func TestServeShardedGraphDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(newMux(reg, nil, obs.NewRegistry(), obs.NewTracer("serve", obs.TracerOptions{}), obs.NewSLO(obs.DefaultObjective(), nil), nil, nil))
+	srv := httptest.NewServer(testMux(reg))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/graphs/grid/dist?source=0")
 	if err != nil {

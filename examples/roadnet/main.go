@@ -11,10 +11,10 @@ import (
 	"time"
 
 	"repro/internal/adj"
-	"repro/internal/bmf"
 	"repro/internal/exact"
 	"repro/internal/graph"
 	"repro/internal/pram"
+	"repro/internal/relax"
 	"repro/oracle"
 )
 
@@ -75,7 +75,7 @@ func main() {
 	measure := func(label string, a *adj.Adj) int {
 		tr := pram.New()
 		start := time.Now()
-		rounds := bmf.RoundsToApprox(a, []int32{src}, exactSrc, 0.25, maxRounds, tr)
+		rounds := relax.RoundsToApprox(a, []int32{src}, exactSrc, 0.25, maxRounds, tr)
 		elapsed := time.Since(start)
 		scanned := tr.Snapshot().Work // the engine charges only arcs actually scanned
 		if rounds < 0 {

@@ -1,8 +1,6 @@
 package graphio
 
 import (
-	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,21 +12,11 @@ import (
 // BenchmarkLoadCSRGvsText measures the ingestion formats against each
 // other on one mid-sized dense graph: chunk-parallel text parsing (the
 // legacy and DIMACS codecs) versus the binary container through both the
-// portable reader and the zero-copy mmap open. With
-// BENCH_GRAPHIO_JSON=<path> the measurements land in a JSON file that CI
-// uploads as the BENCH_graphio artifact. The mmap row's allocs/op is the
-// zero-copy acceptance number: it stays flat no matter how many edges the
-// file holds.
+// portable reader and the zero-copy mmap open. Throughput is reported as
+// MB/s, and each loader's speedup over the legacy text codec when that
+// ran first. The mmap row's allocs/op is the zero-copy acceptance number:
+// it stays flat no matter how many edges the file holds.
 func BenchmarkLoadCSRGvsText(b *testing.B) {
-	type measurement struct {
-		Loader  string  `json:"loader"`
-		N       int     `json:"n"`
-		M       int     `json:"m"`
-		Bytes   int64   `json:"file_bytes"`
-		MS      float64 `json:"load_ms"`
-		MBPerS  float64 `json:"mb_per_s"`
-		Speedup float64 `json:"speedup_vs_legacy_text"`
-	}
 	g := testkit.Dense(60_000, 13)
 	dir := b.TempDir()
 	files := map[string]string{
@@ -75,7 +63,7 @@ func BenchmarkLoadCSRGvsText(b *testing.B) {
 			return m.Close()
 		}},
 	}
-	var out []measurement
+	var legacyNSPerOp float64
 	for _, l := range loaders {
 		st, err := os.Stat(l.path)
 		if err != nil {
@@ -83,6 +71,7 @@ func BenchmarkLoadCSRGvsText(b *testing.B) {
 		}
 		b.Run(l.name, func(b *testing.B) {
 			b.ReportAllocs()
+			b.SetBytes(st.Size())
 			var total int64
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
@@ -91,26 +80,13 @@ func BenchmarkLoadCSRGvsText(b *testing.B) {
 				}
 				total += time.Since(start).Nanoseconds()
 			}
-			ms := float64(total) / float64(b.N) / 1e6
-			out = append(out, measurement{
-				Loader: l.name, N: g.N, M: g.M(), Bytes: st.Size(),
-				MS:     ms,
-				MBPerS: float64(st.Size()) / (1 << 20) / (ms / 1e3),
-			})
+			nsPerOp := float64(total) / float64(b.N)
+			if l.name == "legacy-text" {
+				legacyNSPerOp = nsPerOp
+			}
+			if legacyNSPerOp > 0 {
+				b.ReportMetric(legacyNSPerOp/nsPerOp, "speedup-vs-legacy-text")
+			}
 		})
-	}
-	if path := os.Getenv("BENCH_GRAPHIO_JSON"); path != "" && len(out) > 0 {
-		base := out[0].MS // legacy-text
-		for i := range out {
-			out[i].Speedup = base / out[i].MS
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			b.Fatal(err)
-		}
-		fmt.Printf("# wrote %s\n", path)
 	}
 }

@@ -111,14 +111,14 @@ type restoredBody struct {
 func (b restoredBody) Close() error { return b.closer.Close() }
 
 // IsQueryRoute marks the engine-work routes the admission limiter guards:
-// legacy /dist and /path plus their /graphs/{name}/… forms, and the bodied
-// many-to-many routes (/matrix, /multi, /nearest — an S×T matrix is the
-// most engine work a single request can ask for, so it must sit under the
-// same admission cap), plus /tree. The /graphs form requires a name
-// segment between /graphs/ and the verb, so the status route of a graph
-// that happens to be named "dist" (GET /graphs/dist) is never limited.
+// /graphs/{name}/dist and /path, the bodied many-to-many routes (/matrix,
+// /multi, /nearest — an S×T matrix is the most engine work a single
+// request can ask for, so it must sit under the same admission cap), plus
+// /tree. A name segment is required between /graphs/ and the verb, so
+// the status route of a graph that happens to be named "dist"
+// (GET /graphs/dist) is never limited.
 func IsQueryRoute(p string) bool {
-	return p == "/dist" || p == "/path" || queryVerb(p) != ""
+	return queryVerb(p) != ""
 }
 
 // queryVerb extracts the query verb of a /graphs/{name}/{verb} path (""

@@ -87,8 +87,8 @@ func TestMiddleware(t *testing.T) {
 // graph-named-"dist" corner: status routes are never limited.
 func TestIsQueryRoute(t *testing.T) {
 	for p, want := range map[string]bool{
-		"/dist":                true,
-		"/path":                true,
+		"/dist":                false, // no single-graph routes
+		"/path":                false,
 		"/graphs/ny/dist":      true,
 		"/graphs/ny/path":      true,
 		"/graphs/ny/matrix":    true,

@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/adj"
-	"repro/internal/bmf"
 	"repro/internal/graph"
 	"repro/internal/hopset"
+	"repro/internal/relax"
 )
 
 // bellmanFordRef is an independent O(nm) reference implementation.
@@ -97,7 +97,7 @@ func TestRandHopsetStretchAndSize(t *testing.T) {
 	budget := sched.HopBudget() * (sched.Ell + 2)
 	for _, s := range []int32{0, 64, 127} {
 		exact, _ := DijkstraGraph(ng, s)
-		if r := bmf.RoundsToApprox(a, []int32{s}, exact, 0.25, budget, nil); r < 0 {
+		if r := relax.RoundsToApprox(a, []int32{s}, exact, 0.25, budget, nil); r < 0 {
 			t.Fatalf("source %d: randomized hopset missed (1+ε) within %d rounds", s, budget)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/adj"
 	"repro/internal/baseline"
-	"repro/internal/bmf"
 	"repro/internal/exact"
 	"repro/internal/graph"
 	"repro/internal/hopset"
@@ -456,8 +455,8 @@ func E11HopReduction(cfg Config) *Table {
 		src := int32(c.g.N/3 + 1)
 		a := adj.Build(h.G, h.Extras())
 		ref, _ := exact.DijkstraGraph(h.G, src)
-		with := bmf.RoundsToApprox(a, []int32{src}, ref, eps, c.g.N, nil)
-		without := bmf.RoundsToApprox(adj.Build(h.G, nil), []int32{src}, ref, eps, c.g.N, nil)
+		with := relax.RoundsToApprox(a, []int32{src}, ref, eps, c.g.N, nil)
+		without := relax.RoundsToApprox(adj.Build(h.G, nil), []int32{src}, ref, eps, c.g.N, nil)
 		speedup := float64(without) / math.Max(1, float64(with))
 		t.AddRow(c.name, d(int64(c.g.N)), d(int64(c.diam)), d(int64(without)),
 			d(int64(with)), f(speedup))

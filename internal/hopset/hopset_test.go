@@ -7,11 +7,12 @@ import (
 	"testing"
 
 	"repro/internal/adj"
-	"repro/internal/bmf"
 	"repro/internal/exact"
 	"repro/internal/graph"
+	"repro/internal/limbfs"
 	"repro/internal/par"
 	"repro/internal/pram"
+	"repro/internal/relax"
 	"repro/internal/testkit"
 )
 
@@ -69,7 +70,7 @@ func checkStretch(t *testing.T, h *Hopset, eps float64) (maxRounds int) {
 		exact, _ := exact.DijkstraGraph(h.G, s)
 		// Lower bound (soundness of the union graph): even fully converged
 		// distances in G∪H can never undershoot d_G.
-		res := bmf.Run(a, []int32{s}, n+1, nil)
+		res := relax.Run(a, []int32{s}, n+1, relax.Options{})
 		for v := 0; v < n; v++ {
 			if math.IsInf(exact[v], 1) {
 				if !math.IsInf(res.Dist[v], 1) {
@@ -82,7 +83,7 @@ func checkStretch(t *testing.T, h *Hopset, eps float64) (maxRounds int) {
 			}
 		}
 		// Upper bound within the hop budget.
-		r := bmf.RoundsToApprox(a, []int32{s}, exact, eps, budget, nil)
+		r := relax.RoundsToApprox(a, []int32{s}, exact, eps, budget, nil)
 		if r < 0 {
 			t.Fatalf("source %d: (1+%v)-approximation not reached within %d rounds", s, eps, budget)
 		}
@@ -346,6 +347,27 @@ func TestTrackerCharged(t *testing.T) {
 	if c.Depth == 0 || c.Work == 0 {
 		t.Fatalf("tracker not charged: %v", c)
 	}
+
+	// The lane path (64-seed batched limited BFS) must keep charging less
+	// PRAM work than the record path. On this grid the record path
+	// charges 4,967,928 and the lane path 3,927,204, a 1.265× reduction;
+	// the floor is 0.85× of that. The counts are the same at every worker
+	// count.
+	defer func() { limbfs.DisableLanes = false }()
+	grid := testkit.Grid(24*24, 7)
+	work := func(disableLanes bool) int64 {
+		limbfs.DisableLanes = disableLanes
+		tr := pram.New()
+		if _, err := Build(grid, Params{Epsilon: 0.25}, tr); err != nil {
+			t.Fatal(err)
+		}
+		return tr.Snapshot().Work
+	}
+	record, lanes := work(true), work(false)
+	if ratio := float64(record) / float64(lanes); ratio < 0.85*1.265 {
+		t.Fatalf("lane-path work reduction %.3fx (record %d, lanes %d), want ≥ %.3fx",
+			ratio, record, lanes, 0.85*1.265)
+	}
 }
 
 func TestHopReduction(t *testing.T) {
@@ -353,8 +375,8 @@ func TestHopReduction(t *testing.T) {
 	// fewer rounds than over G on a high-diameter graph.
 	g := graph.Path(256, graph.UnitWeights(), 1)
 	h := build(t, g, Params{Epsilon: 0.3})
-	plain := bmf.Run(adj.Build(g, nil), []int32{0}, g.N, nil)
-	with := bmf.Run(adj.Build(h.G, h.Extras()), []int32{0}, g.N, nil)
+	plain := relax.Run(adj.Build(g, nil), []int32{0}, g.N, relax.Options{})
+	with := relax.Run(adj.Build(h.G, h.Extras()), []int32{0}, g.N, relax.Options{})
 	if !plain.Converged || !with.Converged {
 		t.Fatal("BF did not converge")
 	}

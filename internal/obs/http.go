@@ -65,8 +65,7 @@ func classOf(status int) int {
 }
 
 // RouteInfo classifies a request path into a route label and, for
-// /graphs/{name}/... paths, the graph name. It understands both the
-// registry layout and the legacy single-graph redirects.
+// /graphs/{name}/... paths, the graph name.
 func RouteInfo(path string) (route int, graph string) {
 	switch path {
 	case "/healthz":
@@ -77,10 +76,6 @@ func RouteInfo(path string) (route int, graph string) {
 		return routeMetrics, ""
 	case "/graphs", "/graphs/":
 		return routeGraphs, ""
-	case "/dist":
-		return routeDist, ""
-	case "/path":
-		return routePath, ""
 	}
 	if strings.HasPrefix(path, "/trace/") {
 		return routeTrace, ""

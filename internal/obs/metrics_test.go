@@ -221,7 +221,7 @@ func TestRouteInfo(t *testing.T) {
 		{"/healthz", "healthz", ""},
 		{"/metrics", "metrics", ""},
 		{"/trace/0123", "trace", ""},
-		{"/dist", "dist", ""},
+		{"/dist", "other", ""},
 		{"/nope", "other", ""},
 	}
 	for _, c := range cases {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/adj"
+	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/testkit"
 )
@@ -109,39 +110,53 @@ func TestRunBatchCounters(t *testing.T) {
 	}
 }
 
-// TestBatchArcReductionOnGrid asserts the headline perf claim at the
-// accounting level, deterministically: on the grid family a 64-seed batch
-// scans at least 4× fewer arcs than 64 sequential explorations. The
-// sources are an 8×8 block — the coalesced-serve / ETA-matrix shape,
-// where the 64 waves expand nearly in lock-step so each shared traversal
-// serves many lanes. (Widely spread seeds are the honest caveat: their
-// waves pass each vertex at 64 different rounds, so the measured
-// reduction there is only ~1.7×; the bench reports both.)
+// TestBatchArcReductionOnGrid pins the batched kernel's headline claim
+// at the accounting level: a 64-seed batch scans far fewer arcs than 64
+// sequential explorations. Scanned arcs are deterministic counters, the
+// same at every worker count, so the floors hold exactly. Three
+// workloads: an 8×8 source block on a grid (the coalesced-serve /
+// ETA-matrix shape, where the waves expand nearly in lock-step and each
+// shared traversal serves many lanes), spread sources on the same grid
+// (waves pass each vertex at 64 different rounds — the honest lower
+// bound), and spread sources on a gnm expander. Each floor is 0.85× the
+// reduction measured when the batched kernel landed (6.82×, 1.69×,
+// 35.7×).
 func TestBatchArcReductionOnGrid(t *testing.T) {
-	g := testkit.Grid(128*128, 7)
-	a := adj.Build(g, nil)
-	var sources []int32
-	for r := 60; r < 68; r++ {
-		for c := 60; c < 68; c++ {
-			sources = append(sources, int32(r*128+c))
+	grid := testkit.Grid(128*128, 7)
+	gnm := testkit.Dense(8192, 42)
+	var block []int32
+	for r := 64; r < 72; r++ {
+		for c := 64; c < 72; c++ {
+			block = append(block, int32(r*128+c))
 		}
 	}
+	for _, tc := range []struct {
+		name    string
+		g       *graph.Graph
+		sources []int32
+		floor   float64
+	}{
+		{"grid-block", grid, block, 5.79},
+		{"grid-spread", grid, spreadSources(grid.N, MaxBatch), 1.43},
+		{"gnm-spread", gnm, spreadSources(gnm.N, MaxBatch), 30.3},
+	} {
+		a := adj.Build(tc.g, nil)
+		var seq Counters
+		for _, s := range tc.sources {
+			Run(a, []int32{s}, tc.g.N, Options{Counters: &seq})
+		}
+		var bat Counters
+		RunBatch(a, tc.sources, tc.g.N, Options{Counters: &bat})
 
-	var seq Counters
-	for _, s := range sources {
-		Run(a, []int32{s}, g.N, Options{Counters: &seq})
-	}
-	var bat Counters
-	RunBatch(a, sources, g.N, Options{Counters: &bat})
-
-	seqArcs := seq.Snapshot().ScannedArcs
-	batArcs := bat.Snapshot().ScannedArcs
-	if batArcs <= 0 || seqArcs <= 0 {
-		t.Fatalf("degenerate accounting: seq=%d bat=%d", seqArcs, batArcs)
-	}
-	if ratio := float64(seqArcs) / float64(batArcs); ratio < 4 {
-		t.Fatalf("grid arc reduction %.2fx (seq %d, batched %d), want ≥ 4x",
-			ratio, seqArcs, batArcs)
+		seqArcs := seq.Snapshot().ScannedArcs
+		batArcs := bat.Snapshot().ScannedArcs
+		if batArcs <= 0 || seqArcs <= 0 {
+			t.Fatalf("%s: degenerate accounting: seq=%d bat=%d", tc.name, seqArcs, batArcs)
+		}
+		if ratio := float64(seqArcs) / float64(batArcs); ratio < tc.floor {
+			t.Errorf("%s: arc reduction %.2fx (seq %d, batched %d), want ≥ %.2fx",
+				tc.name, ratio, seqArcs, batArcs, tc.floor)
+		}
 	}
 }
 

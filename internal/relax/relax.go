@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/adj"
 	"repro/internal/par"
@@ -61,7 +62,7 @@ type Options struct {
 	Counters *Counters
 	// ForceDense runs every round on the dense full-scan kernel: the
 	// reference semantics the property tests compare the sparse kernel
-	// against, and the exact behavior of the pre-engine bmf kernel.
+	// against.
 	ForceDense bool
 	// DenseFraction overrides DefaultDenseFraction. Values ≥ 1 keep every
 	// round sparse; 0 selects the default.
@@ -412,4 +413,49 @@ func (r *Result) PathTo(v int32) []int32 {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
+}
+
+// RoundsToApprox returns the smallest round budget r ≤ maxRounds such that
+// the r-hop-bounded distances from the sources are within a (1+eps) factor
+// of the reference distances ref for every vertex ref reaches, or −1 if
+// maxRounds rounds do not suffice. It measures the empirical hopbound of a
+// hopset (experiments E2/E11). The tracker, when non-nil, is charged the
+// arcs the engine actually scanned — with the frontier-sparse kernel that
+// is usually far below r·m.
+func RoundsToApprox(a *adj.Adj, sources []int32, ref []float64, eps float64, maxRounds int, tr *pram.Tracker) int {
+	e := Start(a, sources, Options{Tracker: tr})
+	defer e.Finish()
+	within := func() bool {
+		dist := e.Dist()
+		var bad atomic.Bool
+		par.ForChunk(len(dist), func(lo, hi int) {
+			good := true
+			for v := lo; v < hi; v++ {
+				if math.IsInf(ref[v], 1) {
+					continue
+				}
+				if dist[v] > (1+eps)*ref[v]+1e-12 {
+					good = false
+					break
+				}
+			}
+			if !good {
+				bad.Store(true)
+			}
+		})
+		return !bad.Load()
+	}
+	if within() {
+		return 0
+	}
+	for round := 1; round <= maxRounds; round++ {
+		changed := e.Step()
+		if within() {
+			return round
+		}
+		if !changed {
+			return -1 // converged without reaching the target approximation
+		}
+	}
+	return -1
 }

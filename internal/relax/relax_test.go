@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/adj"
+	"repro/internal/exact"
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/pram"
@@ -201,6 +202,102 @@ func TestTrackerChargesScannedArcs(t *testing.T) {
 	}
 	if c.Work != res.Stats.ScannedArcs {
 		t.Fatalf("work %d != scanned arcs %d", c.Work, res.Stats.ScannedArcs)
+	}
+}
+
+// A hop-limited run is charged exactly its round budget as depth.
+func TestTrackerCharged(t *testing.T) {
+	tr := pram.New()
+	g := graph.Path(20, graph.UnitWeights(), 1)
+	Run(adj.Build(g, nil), []int32{0}, 5, Options{Tracker: tr})
+	if c := tr.Snapshot(); c.Depth != 5 || c.Work == 0 {
+		t.Fatalf("tracker: %v", c)
+	}
+}
+
+func TestConvergedMatchesDijkstra(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		g := graph.Gnm(100, 300, graph.UniformWeights(1, 7), seed)
+		a := adj.Build(g, nil)
+		res := Run(a, []int32{0}, g.N, Options{})
+		if !res.Converged {
+			t.Fatal("did not converge within n rounds")
+		}
+		want, _ := exact.Dijkstra(a, 0)
+		for v := 0; v < g.N; v++ {
+			if math.Abs(res.Dist[v]-want[v]) > 1e-9 {
+				t.Fatalf("seed %d vertex %d: %v vs dijkstra %v", seed, v, res.Dist[v], want[v])
+			}
+		}
+	}
+}
+
+func TestMultiSource(t *testing.T) {
+	g := graph.Path(10, graph.UnitWeights(), 1)
+	res := Run(adj.Build(g, nil), []int32{0, 9}, g.N, Options{})
+	want := []float64{0, 1, 2, 3, 4, 4, 3, 2, 1, 0}
+	for v, w := range want {
+		if res.Dist[v] != w {
+			t.Fatalf("dist=%v want %v", res.Dist, want)
+		}
+	}
+}
+
+func TestPathTo(t *testing.T) {
+	g := graph.Path(6, graph.UnitWeights(), 1)
+	res := Run(adj.Build(g, nil), []int32{0}, 10, Options{})
+	path := res.PathTo(5)
+	want := []int32{0, 1, 2, 3, 4, 5}
+	if len(path) != len(want) {
+		t.Fatalf("path=%v", path)
+	}
+	for i := range want {
+		if path[i] != want[i] {
+			t.Fatalf("path=%v want %v", path, want)
+		}
+	}
+	// Unreached vertex: disconnected graph.
+	g2 := graph.MustFromEdges(3, []graph.Edge{graph.E(0, 1, 1)})
+	res2 := Run(adj.Build(g2, nil), []int32{0}, 5, Options{})
+	if res2.PathTo(2) != nil {
+		t.Fatal("unreached vertex returned a path")
+	}
+}
+
+func TestRoundsToApprox(t *testing.T) {
+	g := graph.Path(50, graph.UnitWeights(), 1)
+	a := adj.Build(g, nil)
+	exact, _ := exact.Dijkstra(a, 0)
+	// Exact distances need exactly 49 rounds on the path.
+	if r := RoundsToApprox(a, []int32{0}, exact, 0, 60, nil); r != 49 {
+		t.Fatalf("rounds=%d want 49", r)
+	}
+	// Insufficient budget.
+	if r := RoundsToApprox(a, []int32{0}, exact, 0, 10, nil); r != -1 {
+		t.Fatalf("rounds=%d want -1", r)
+	}
+	// Zero rounds suffice when the reference is trivial (source only).
+	ref := make([]float64, g.N)
+	for v := range ref {
+		ref[v] = math.Inf(1)
+	}
+	ref[0] = 0
+	if r := RoundsToApprox(a, []int32{0}, ref, 0, 5, nil); r != 0 {
+		t.Fatalf("rounds=%d want 0", r)
+	}
+}
+
+func TestRoundsToApproxConvergedShort(t *testing.T) {
+	// If BF converges without meeting the target (impossible reference),
+	// RoundsToApprox must return -1 rather than loop.
+	g := graph.Path(10, graph.UnitWeights(), 1)
+	a := adj.Build(g, nil)
+	ref := make([]float64, g.N)
+	for v := range ref {
+		ref[v] = 0.1 // unattainably small
+	}
+	if r := RoundsToApprox(a, []int32{0}, ref, 0, 100, nil); r != -1 {
+		t.Fatalf("rounds=%d want -1", r)
 	}
 }
 

@@ -5,12 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/adj"
-	"repro/internal/bmf"
 	"repro/internal/exact"
 	"repro/internal/graph"
 	"repro/internal/hopset"
 	"repro/internal/par"
 	"repro/internal/pathrep"
+	"repro/internal/relax"
 )
 
 // wideWeightGraph returns a connected graph whose weights span many powers
@@ -29,7 +29,7 @@ func checkKSStretch(t *testing.T, r *Result, eps float64) {
 	n := h.G.N
 	for _, s := range []int32{0, int32(n / 2), int32(n - 1)} {
 		ref, _ := exact.DijkstraGraph(h.G, s)
-		res := bmf.Run(a, []int32{s}, n+1, nil)
+		res := relax.Run(a, []int32{s}, n+1, relax.Options{})
 		for v := 0; v < n; v++ {
 			if math.IsInf(ref[v], 1) {
 				continue
@@ -38,7 +38,7 @@ func checkKSStretch(t *testing.T, r *Result, eps float64) {
 				t.Fatalf("source %d vertex %d: %v below exact %v (hopset shortcuts)", s, v, res.Dist[v], ref[v])
 			}
 		}
-		if r := bmf.RoundsToApprox(a, []int32{s}, ref, eps, budget, nil); r < 0 {
+		if r := relax.RoundsToApprox(a, []int32{s}, ref, eps, budget, nil); r < 0 {
 			t.Fatalf("source %d: (1+%v)-approx not reached in %d rounds", s, eps, budget)
 		}
 	}

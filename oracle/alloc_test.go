@@ -100,7 +100,7 @@ func TestWarmQueryAllocs(t *testing.T) {
 		}
 		sp.End()
 	})
-	// DistSWRContext fresh hits with a live span in ctx: the annotation
+	// DistSWR fresh hits with a live span in ctx: the annotation
 	// writes into the caller-stack span, so the SWR fast path keeps its
 	// zero-allocation budget. ContextWith on a recorded span allocates
 	// the context node once per request (budgeted: ≤2 was already the
@@ -115,14 +115,14 @@ func TestWarmQueryAllocs(t *testing.T) {
 	if err := r.WaitReady(context.Background(), "g"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.DistSWR("g", sources[0]); err != nil {
+	if _, err := r.DistSWR(context.Background(), "g", sources[0]); err != nil {
 		t.Fatal(err)
 	}
 	gate("DistSWR(fresh, traced)", 3, func() {
 		var sp obs.Span
 		tr.StartRoot(&sp, "GET dist", obs.Traceparent{})
 		ctx := obs.ContextWith(context.Background(), &sp)
-		res, err := r.DistSWRContext(ctx, "g", sources[0])
+		res, err := r.DistSWR(ctx, "g", sources[0])
 		if err != nil {
 			t.Fatal(err)
 		}

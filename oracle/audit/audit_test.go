@@ -249,6 +249,74 @@ func hasKind(st audit.Stats, kind string) bool {
 	return false
 }
 
+// blockingBackend is an engine whose audit graph stays unavailable until
+// the test releases it, so the audit workers stall and the ring fills.
+type blockingBackend struct {
+	*oracle.Engine
+	release chan struct{}
+}
+
+func (b *blockingBackend) AuditGraph() (*graph.Graph, error) {
+	<-b.release
+	return b.Engine.AuditGraph()
+}
+
+// TestAuditFullRingNeverBlocksServing: with every audit worker stalled
+// and the ring full, sampled queries keep returning and the overflow is
+// counted as dropped — serving never waits on audit throughput.
+func TestAuditFullRingNeverBlocksServing(t *testing.T) {
+	const ringSize, queries = 4, 64
+	a := audit.New(audit.Config{SampleRate: 1, Workers: 1, RingSize: ringSize, Logger: quietLogger()})
+	defer a.Close()
+	r := oracle.NewRegistry(oracle.RegistryConfig{Audit: a})
+	defer r.Close()
+	eng, err := oracle.New(testGraph(100, 13), oracle.WithEpsilon(0.25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := &blockingBackend{Engine: eng, release: make(chan struct{})}
+	var once sync.Once
+	release := func() { once.Do(func() { close(be.release) }) }
+	defer release() // before the Close calls, which wait for in-flight audits
+	if err := r.AddReady("g", be); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := r.WaitReady(ctx, "g"); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		for s := int32(0); s < queries; s++ {
+			if _, err := r.Dist("g", s); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("sampled queries blocked behind stalled audit workers")
+	}
+	// One sample may sit with the stalled worker; the ring holds ringSize.
+	st := a.Stats()
+	if st.Sampled+st.Dropped != queries || st.Sampled > ringSize+1 {
+		t.Fatalf("stalled auditor stats %+v: want at most %d sampled and the rest of %d dropped",
+			st, ringSize+1, queries)
+	}
+	release()
+	if st := settle(t, a); st.Audited != st.Sampled || st.Violations != 0 {
+		t.Fatalf("after release: %+v, want every accepted sample audited clean", st)
+	}
+}
+
 func TestShouldSampleRates(t *testing.T) {
 	off := audit.New(audit.Config{SampleRate: 0, Logger: quietLogger()})
 	defer off.Close()

@@ -20,8 +20,8 @@
 //	st := eng.Stats()              // cache and batching counters
 //
 // Engines can be persisted with SaveSnapshot and revived with LoadSnapshot
-// without repeating the build. Package oracle/…/cmd/serve exposes an
-// Engine over HTTP via NewHandler.
+// without repeating the build. NewRegistryHandler serves a Registry of
+// named engines over HTTP; cmd/serve wraps it.
 package oracle
 
 import (

@@ -192,6 +192,11 @@ type Registry struct {
 	noBuilds bool
 	wg       sync.WaitGroup
 
+	// landMu serializes publishing a built engine with the evictions
+	// that make room for it, so two builds landing at once cannot each
+	// size the budget against a stale view of the other.
+	landMu sync.Mutex
+
 	// mu is an RWMutex so the hot-pair fresh path (lookup + atomic
 	// version check) shares the read lock instead of serializing every
 	// query through one mutex.
@@ -414,6 +419,13 @@ func (r *Registry) runBuild(e *graphEntry, ctx context.Context) {
 // finishBuild publishes a new engine version (or records the failure) and
 // releases the previous version for draining.
 func (r *Registry) finishBuild(e *graphEntry, eng Backend, err error) {
+	if err == nil && r.cfg.MemoryBudget > 0 {
+		// Make room before the new version is visible, so a caller that
+		// sees it ready also sees the evictions its landing caused.
+		r.landMu.Lock()
+		defer r.landMu.Unlock()
+		r.enforceBudget(e, eng.MemoryBytes())
+	}
 	var old *Handle
 	e.mu.Lock()
 	e.building = false
@@ -447,18 +459,13 @@ func (r *Registry) finishBuild(e *graphEntry, eng Backend, err error) {
 		r.draining.Add(1)
 		old.Release()
 	}
-	if err == nil {
-		r.enforceBudget()
-	}
 }
 
-// enforceBudget evicts least-recently-used ready graphs until the summed
-// engine memory fits the configured budget. The most-recently-used graph
-// is never evicted, so one oversized graph cannot thrash.
-func (r *Registry) enforceBudget() {
-	if r.cfg.MemoryBudget <= 0 {
-		return
-	}
+// enforceBudget evicts least-recently-used ready graphs other than landed
+// until their summed engine memory plus landedBytes — the engine landed
+// is about to publish — fits the configured budget. The landing graph is
+// never evicted, so one oversized graph cannot thrash.
+func (r *Registry) enforceBudget(landed *graphEntry, landedBytes int64) {
 	type resident struct {
 		e        *graphEntry
 		bytes    int64
@@ -467,12 +474,14 @@ func (r *Registry) enforceBudget() {
 	r.mu.Lock()
 	entries := make([]*graphEntry, 0, len(r.graphs))
 	for _, e := range r.graphs {
-		entries = append(entries, e)
+		if e != landed {
+			entries = append(entries, e)
+		}
 	}
 	r.mu.Unlock()
 
 	var ready []resident
-	var total int64
+	total := landedBytes
 	for _, e := range entries {
 		e.mu.Lock()
 		if e.handle != nil {
@@ -486,14 +495,17 @@ func (r *Registry) enforceBudget() {
 		return
 	}
 	sort.Slice(ready, func(i, j int) bool { return ready[i].lastUsed < ready[j].lastUsed })
-	for _, cand := range ready[:len(ready)-1] { // keep the MRU graph
+	for _, cand := range ready {
 		if total <= r.cfg.MemoryBudget {
 			break
 		}
 		var old *Handle
 		cand.e.mu.Lock()
-		// Re-check under the lock: a query or reload may have landed.
-		if cand.e.handle != nil && !cand.e.building && cand.e.lastUsed.Load() == cand.lastUsed {
+		// Re-check under the lock: a reload may have started. A query
+		// that landed meanwhile does not save the graph — skipping it
+		// could leave the registry over budget with no build left to
+		// retry the eviction.
+		if cand.e.handle != nil && !cand.e.building {
 			old = cand.e.handle
 			cand.e.handle = nil
 			cand.e.status = StatusEvicted

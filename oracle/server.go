@@ -47,79 +47,6 @@ func jsonMatrix(rows [][]float64) [][]any {
 	return out
 }
 
-// NewHandler exposes an Engine over HTTP/JSON — the traffic-facing surface
-// served by cmd/serve:
-//
-//	GET /dist?source=S            → {"source":S,"dist":[…]}        (null = unreachable)
-//	GET /dist?source=S&target=T   → {"source":S,"target":T,"dist":d}
-//	GET /path?from=U&to=V         → {"from":U,"to":V,"path":[…],"length":d}
-//	GET /stats                    → graph/hopset info + engine Stats
-//	GET /healthz                  → 200 ok
-//
-// Vertex-range and path-reporting errors map to 400; everything else to
-// 500. Unreachable targets are 200s with null dist/path.
-func NewHandler(e *Engine) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		w.Write([]byte("ok\n"))
-	})
-	mux.HandleFunc("GET /dist", func(w http.ResponseWriter, r *http.Request) {
-		source, err := vertexParam(r, "source")
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		if t := r.URL.Query().Get("target"); t != "" {
-			target, err := vertexParam(r, "target")
-			if err != nil {
-				writeError(w, err)
-				return
-			}
-			d, err := e.DistTo(source, target)
-			if err != nil {
-				writeError(w, err)
-				return
-			}
-			writeJSON(w, map[string]any{"source": source, "target": target, "dist": jsonDist(d)})
-			return
-		}
-		dist, err := e.Dist(source)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		out := make([]any, len(dist))
-		for i, d := range dist {
-			out[i] = jsonDist(d)
-		}
-		writeJSON(w, map[string]any{"source": source, "dist": out})
-	})
-	mux.HandleFunc("GET /path", func(w http.ResponseWriter, r *http.Request) {
-		from, err1 := vertexParam(r, "from")
-		to, err2 := vertexParam(r, "to")
-		if err := errors.Join(err1, err2); err != nil {
-			writeError(w, err)
-			return
-		}
-		path, length, err := e.Path(from, to)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, map[string]any{"from": from, "to": to, "path": path, "length": jsonDist(length)})
-	})
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		h := e.Hopset()
-		writeJSON(w, map[string]any{
-			"graph":  map[string]any{"n": h.G.N, "m": h.G.M()},
-			"hopset": map[string]any{"edges": h.Size(), "epsilon": h.Params.Epsilon, "hop_budget": e.HopBudget()},
-			"engine": e.Stats(),
-		})
-	})
-	return mux
-}
-
 // NewRegistryHandler exposes a Registry over HTTP/JSON — the multi-graph
 // serving surface of cmd/serve:
 //
@@ -202,7 +129,7 @@ func NewRegistryHandler(r *Registry) http.Handler {
 				writeError(w, err)
 				return
 			}
-			d, ver, stale, err := r.DistToSWRContext(req.Context(), name, source, target)
+			d, ver, stale, err := r.DistToSWR(req.Context(), name, source, target)
 			if err != nil {
 				writeError(w, err)
 				return
@@ -218,7 +145,7 @@ func NewRegistryHandler(r *Registry) http.Handler {
 			writeJSON(w, resp)
 			return
 		}
-		res, err := r.DistSWRContext(req.Context(), name, source)
+		res, err := r.DistSWR(req.Context(), name, source)
 		if err != nil {
 			writeError(w, err)
 			return

@@ -2,27 +2,13 @@ package oracle
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"repro/internal/exact"
 	"repro/internal/graph"
 )
-
-func newTestServer(t *testing.T) (*Engine, *graph.Graph, *httptest.Server) {
-	t.Helper()
-	g := graph.Gnm(200, 800, graph.UniformWeights(1, 8), 11)
-	eng, err := New(g, WithEpsilon(0.25), WithPathReporting())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewHandler(eng))
-	t.Cleanup(srv.Close)
-	return eng, g, srv
-}
 
 func getJSON(t *testing.T, url string, out any) int {
 	t.Helper()
@@ -37,10 +23,12 @@ func getJSON(t *testing.T, url string, out any) int {
 	return resp.StatusCode
 }
 
-// TestServerDistEndToEnd: GET /dist on a generated graph returns scalar
-// and vector answers that satisfy the (1+ε) guarantee against Dijkstra.
+// TestServerDistEndToEnd: GET /graphs/{name}/dist returns scalar and
+// vector answers that satisfy the (1+ε) guarantee against Dijkstra, and
+// an unreachable target is a 200 with a null distance and path.
 func TestServerDistEndToEnd(t *testing.T) {
-	_, g, srv := newTestServer(t)
+	r, srv := newRegistryServer(t)
+	g := registryGraph(150, 3) // the "road" graph
 	ref, _ := exact.DijkstraGraph(g, 0)
 
 	var scalar struct {
@@ -48,47 +36,60 @@ func TestServerDistEndToEnd(t *testing.T) {
 		Target int32    `json:"target"`
 		Dist   *float64 `json:"dist"`
 	}
-	if code := getJSON(t, srv.URL+"/dist?source=0&target=99", &scalar); code != http.StatusOK {
+	if code := getJSON(t, srv.URL+"/graphs/road/dist?source=0&target=99", &scalar); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if scalar.Dist == nil {
-		t.Fatal("vertex 99 unexpectedly unreachable")
+	if scalar.Source != 0 || scalar.Target != 99 || scalar.Dist == nil {
+		t.Fatalf("scalar payload %+v", scalar)
 	}
 	if *scalar.Dist < ref[99]-1e-9 || *scalar.Dist > 1.25*ref[99]+1e-9 {
 		t.Errorf("served dist %v outside [d, 1.25d] for exact %v", *scalar.Dist, ref[99])
 	}
 
 	var vector struct {
-		Source int32      `json:"source"`
-		Dist   []*float64 `json:"dist"`
+		Dist []*float64 `json:"dist"`
 	}
-	if code := getJSON(t, srv.URL+"/dist?source=0", &vector); code != http.StatusOK {
+	if code := getJSON(t, srv.URL+"/graphs/road/dist?source=0", &vector); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	if len(vector.Dist) != g.N {
 		t.Fatalf("vector length %d, want %d", len(vector.Dist), g.N)
 	}
 	for v, d := range vector.Dist {
-		if math.IsInf(ref[v], 1) {
-			if d != nil {
-				t.Errorf("vertex %d: unreachable but served %v", v, *d)
-			}
-			continue
-		}
 		if d == nil || *d < ref[v]-1e-9 || *d > 1.25*ref[v]+1e-9 {
 			t.Errorf("vertex %d: served %v outside [d, 1.25d] for exact %v", v, d, ref[v])
 		}
 	}
+
+	split := graph.MustFromEdges(4, []graph.Edge{graph.E(0, 1, 1), graph.E(2, 3, 1)})
+	if err := r.Add("split", GraphSource(split, WithEpsilon(0.25), WithPathReporting())); err != nil {
+		t.Fatal(err)
+	}
+	waitReady(t, r, "split")
+	if code := getJSON(t, srv.URL+"/graphs/split/dist?source=0&target=3", &scalar); code != http.StatusOK || scalar.Dist != nil {
+		t.Fatalf("unreachable dist: status %d, payload %+v", code, scalar)
+	}
+	var pr struct {
+		Path   []int32  `json:"path"`
+		Length *float64 `json:"length"`
+	}
+	if code := getJSON(t, srv.URL+"/graphs/split/path?from=0&to=3", &pr); code != http.StatusOK || pr.Path != nil || pr.Length != nil {
+		t.Fatalf("unreachable path: status %d, payload %+v", code, pr)
+	}
 }
 
+// TestServerPathAndStats: a served path walks real graph edges and its
+// length is their weight sum; the per-graph stats carry the graph shape
+// and the relaxation engine's scanned-arc accounting.
 func TestServerPathAndStats(t *testing.T) {
-	eng, g, srv := newTestServer(t)
+	r, srv := newRegistryServer(t)
+	g := registryGraph(150, 3)
 	var pr struct {
 		Path   []int32  `json:"path"`
 		Length *float64 `json:"length"`
 	}
 	dest := int32(g.N - 1)
-	if code := getJSON(t, fmt.Sprintf("%s/path?from=0&to=%d", srv.URL, dest), &pr); code != http.StatusOK {
+	if code := getJSON(t, srv.URL+"/graphs/road/path?from=0&to=149", &pr); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	if pr.Length == nil || len(pr.Path) == 0 {
@@ -97,7 +98,6 @@ func TestServerPathAndStats(t *testing.T) {
 	if pr.Path[0] != 0 || pr.Path[len(pr.Path)-1] != dest {
 		t.Errorf("path endpoints %v", pr.Path)
 	}
-	// Every consecutive pair must be a real graph edge.
 	var total float64
 	for i := 1; i < len(pr.Path); i++ {
 		w, ok := g.HasEdge(pr.Path[i-1], pr.Path[i])
@@ -111,30 +111,24 @@ func TestServerPathAndStats(t *testing.T) {
 	}
 
 	var st struct {
-		Graph struct {
-			N int `json:"n"`
-			M int `json:"m"`
-		} `json:"graph"`
-		Hopset struct {
-			Edges   int     `json:"edges"`
-			Epsilon float64 `json:"epsilon"`
-		} `json:"hopset"`
-		Engine Stats `json:"engine"`
+		Graph  GraphInfo `json:"graph"`
+		Engine Stats     `json:"engine"`
 	}
-	if code := getJSON(t, srv.URL+"/stats", &st); code != http.StatusOK {
+	if code := getJSON(t, srv.URL+"/graphs/road/stats", &st); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if st.Graph.N != g.N || st.Graph.M != g.M() {
-		t.Errorf("stats graph %+v", st.Graph)
+	h, err := r.Acquire("road")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Hopset.Edges != eng.Hopset().Size() || st.Hopset.Epsilon != 0.25 {
-		t.Errorf("stats hopset %+v", st.Hopset)
+	defer h.Release()
+	if st.Graph.N != g.N || st.Graph.HopsetEdges != h.Engine().(*Engine).Hopset().Size() {
+		t.Errorf("stats graph %+v", st.Graph)
 	}
 	if st.Engine.PathQueries < 1 || st.Engine.TreeQueries < 1 {
 		t.Errorf("stats engine %+v", st.Engine)
 	}
-	// The relaxation engine's per-query scanned-arc accounting must be
-	// served: the tree query above ran at least one exploration.
+	// The tree query above ran at least one exploration.
 	rx := st.Engine.Relax
 	if rx.Explorations < 1 || rx.ScannedArcs <= 0 || rx.ArcsPerExploration <= 0 {
 		t.Errorf("stats relax %+v", rx)
@@ -144,30 +138,28 @@ func TestServerPathAndStats(t *testing.T) {
 	}
 }
 
+// TestServerErrors: malformed and out-of-range vertices are 400s with an
+// error body.
 func TestServerErrors(t *testing.T) {
-	_, _, srv := newTestServer(t)
-	for url, want := range map[string]int{
-		"/dist":                   http.StatusBadRequest, // missing source
-		"/dist?source=abc":        http.StatusBadRequest,
-		"/dist?source=100000":     http.StatusBadRequest, // out of range
-		"/path?from=0":            http.StatusBadRequest, // missing to
-		"/path?from=0&to=-5":      http.StatusBadRequest,
-		"/dist?source=0&target=x": http.StatusBadRequest,
+	_, srv := newRegistryServer(t)
+	for _, url := range []string{
+		"/graphs/road/dist?source=abc",
+		"/graphs/road/dist?source=100000",
+		"/graphs/road/dist?source=0&target=x",
+		"/graphs/road/dist?source=0&target=150",
+		"/graphs/road/path?from=0",
+		"/graphs/road/path?from=0&to=-5",
 	} {
 		var body map[string]any
-		if code := getJSON(t, srv.URL+url, &body); code != want {
-			t.Errorf("GET %s: status %d, want %d (%v)", url, code, want, body)
+		if code := getJSON(t, srv.URL+url, &body); code != http.StatusBadRequest {
+			t.Errorf("GET %s: status %d, want 400 (%v)", url, code, body)
 		}
 		if _, ok := body["error"]; !ok {
 			t.Errorf("GET %s: no error field in %v", url, body)
 		}
 	}
-	resp, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("healthz status %d", resp.StatusCode)
+	var hz map[string]any
+	if code := getJSON(t, srv.URL+"/healthz", &hz); code != http.StatusOK || hz["status"] != "ok" {
+		t.Errorf("healthz: status %d, body %v", code, hz)
 	}
 }

@@ -38,17 +38,13 @@ type SWRResult struct {
 // Callers that must never observe stale data should use Registry.Dist,
 // whose semantics are unchanged. With the hot-pair cache disabled,
 // DistSWR degrades to exactly that.
-func (r *Registry) DistSWR(name string, source int32) (SWRResult, error) {
-	return r.DistSWRContext(context.Background(), name, source)
-}
-
-// DistSWRContext is DistSWR with a request context: cancellation and the
-// active trace span (if any) flow into context-aware backends, and the
-// span — when one rides in ctx — is annotated with the cache
-// disposition, serving version, and (for monolithic engines on the miss
-// path) the scanned-arc cost of the exploration. The fresh-hit fast path
-// adds no allocations.
-func (r *Registry) DistSWRContext(ctx context.Context, name string, source int32) (SWRResult, error) {
+//
+// Cancellation and the active trace span (if any) in ctx flow into
+// context-aware backends, and the span — when one rides in ctx — is
+// annotated with the cache disposition, serving version, and (for
+// monolithic engines on the miss path) the scanned-arc cost of the
+// exploration. The fresh-hit fast path adds no allocations.
+func (r *Registry) DistSWR(ctx context.Context, name string, source int32) (SWRResult, error) {
 	sp := obs.FromContext(ctx)
 	if sp.Active() {
 		sp.Source = int64(source)
@@ -116,7 +112,7 @@ func (r *Registry) DistSWRContext(ctx context.Context, name string, source int32
 	if err != nil {
 		return SWRResult{}, err
 	}
-	r.hot.put(name, source, d, h.Version())
+	r.cacheRow(name, source, d, h)
 	// Audit on the fill path only: cache hits re-serve bits that were
 	// sampled when the row was computed, so re-auditing them would burn
 	// exact recomputations on already-checked answers (stale hits are
@@ -149,13 +145,8 @@ func (r *Registry) backendDist(ctx context.Context, sp *obs.Span, h *Handle, sou
 
 // DistToSWR is DistSWR for a single (source, target) scalar; it shares
 // rows — and therefore hits — with DistSWR.
-func (r *Registry) DistToSWR(name string, source, target int32) (float64, int64, bool, error) {
-	return r.DistToSWRContext(context.Background(), name, source, target)
-}
-
-// DistToSWRContext is DistToSWR with a request context.
-func (r *Registry) DistToSWRContext(ctx context.Context, name string, source, target int32) (float64, int64, bool, error) {
-	res, err := r.DistSWRContext(ctx, name, source)
+func (r *Registry) DistToSWR(ctx context.Context, name string, source, target int32) (float64, int64, bool, error) {
+	res, err := r.DistSWR(ctx, name, source)
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -196,7 +187,24 @@ func (r *Registry) spawnRevalidate(name string, source int32) {
 		if err != nil {
 			return
 		}
-		r.hot.put(name, source, d, h.Version())
+		r.cacheRow(name, source, d, h)
 		r.hot.revalidations.Add(1)
 	}()
+}
+
+// cacheRow inserts a row computed on h into the hot-pair cache while h is
+// still the graph's resident engine. Eviction and Remove drop the engine
+// and then purge the graph's rows; a computation that raced them must not
+// put a row back, or it would answer as fresh with no rebuild enqueued to
+// ever replace it.
+func (r *Registry) cacheRow(name string, source int32, d []float64, h *Handle) {
+	e, err := r.lookup(name)
+	if err != nil {
+		return
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.handle == h {
+		r.hot.put(name, source, d, h.Version())
+	}
 }

@@ -58,7 +58,7 @@ func TestDistSWRReloadHammer(t *testing.T) {
 		go func(src int32) {
 			defer wg.Done()
 			for !stop.Load() {
-				res, err := r.DistSWR("g", src)
+				res, err := r.DistSWR(t.Context(), "g", src)
 				if err != nil {
 					failures.Add(1)
 					continue
@@ -119,7 +119,8 @@ func TestDistSWRReloadHammer(t *testing.T) {
 	t.Logf("served=%d stale=%d hotpair=%+v", served.Load(), stale.Load(), *st.HotPair)
 }
 
-// TestDistSWRStaleThenFresh pins the single-threaded SWR lifecycle: a
+// TestDistSWRStaleThenFresh pins the single-threaded SWR lifecycle:
+// repeated queries over a hot set are answered from the cache alone, a
 // cached row turns stale the moment a reload publishes a new version, is
 // served with the old version tag and Stale=true, and the background
 // revalidation flips it fresh at the new version.
@@ -132,12 +133,50 @@ func TestDistSWRStaleThenFresh(t *testing.T) {
 	}
 	waitReady(t, r, "g")
 
-	res, err := r.DistSWR("g", 0)
+	res, err := r.DistSWR(t.Context(), "g", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stale || res.Version != 1 || res.Dist[1] != 1 {
 		t.Fatalf("first answer = %+v, want fresh v1", res)
+	}
+
+	// Hot set: after one miss per source, every repeat is a fresh hit
+	// that never reaches the engine — neither its distance cache nor
+	// the relaxation kernel sees the query.
+	hot := []int32{0, 1, 2}
+	for _, s := range hot[1:] {
+		if _, err := r.DistSWR(t.Context(), "g", s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	engBefore, err := r.EngineStats("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hpBefore := *r.Stats().HotPair
+	const repeats = 20
+	for i := 0; i < repeats; i++ {
+		for _, s := range hot {
+			res, err := r.DistSWR(t.Context(), "g", s)
+			if err != nil || res.Stale || res.Version != 1 {
+				t.Fatalf("repeat of source %d = %+v, %v; want a fresh v1 hit", s, res, err)
+			}
+		}
+	}
+	engAfter, err := r.EngineStats("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hp := *r.Stats().HotPair
+	if hp.Hits-hpBefore.Hits != repeats*int64(len(hot)) || hp.Misses != hpBefore.Misses {
+		t.Fatalf("hot-pair stats %+v after %+v, want %d more hits and no misses",
+			hp, hpBefore, repeats*len(hot))
+	}
+	cb, ca := engBefore.DistCache, engAfter.DistCache
+	if ca.Hits+ca.Misses != cb.Hits+cb.Misses || engAfter.Relax.Explorations != engBefore.Relax.Explorations {
+		t.Fatalf("engine called on hot hits: dist cache %+v -> %+v, explorations %d -> %d",
+			cb, ca, engBefore.Relax.Explorations, engAfter.Relax.Explorations)
 	}
 
 	if err := r.Reload("g"); err != nil {
@@ -155,7 +194,7 @@ func TestDistSWRStaleThenFresh(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	res, err = r.DistSWR("g", 0)
+	res, err = r.DistSWR(t.Context(), "g", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +205,7 @@ func TestDistSWRStaleThenFresh(t *testing.T) {
 	// The stale hit kicked a revalidation; it lands asynchronously.
 	deadline = time.Now().Add(30 * time.Second)
 	for {
-		res, err = r.DistSWR("g", 0)
+		res, err = r.DistSWR(t.Context(), "g", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +237,7 @@ func TestDistSWRPurgeOnRemove(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitReady(t, r, "g")
-	if _, err := r.DistSWR("g", 0); err != nil { // cache row at v1, dist[1]=1
+	if _, err := r.DistSWR(t.Context(), "g", 0); err != nil { // cache row at v1, dist[1]=1
 		t.Fatal(err)
 	}
 	if err := r.Remove("g"); err != nil {
@@ -211,7 +250,7 @@ func TestDistSWRPurgeOnRemove(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitReady(t, r, "g")
-	res, err := r.DistSWR("g", 0)
+	res, err := r.DistSWR(t.Context(), "g", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +282,7 @@ func TestDistSWRPurgeOnEvict(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitReady(t, r, "g1")
-	if res, err := r.DistSWR("g1", 0); err != nil || res.Dist[1] != 1 {
+	if res, err := r.DistSWR(t.Context(), "g1", 0); err != nil || res.Dist[1] != 1 {
 		t.Fatalf("seed row: %+v, %v", res, err) // cache a v1 row
 	}
 
@@ -262,11 +301,11 @@ func TestDistSWRPurgeOnEvict(t *testing.T) {
 
 	// The evicted graph's rows must be gone: not-ready, not a stale serve
 	// from the dead generation.
-	if _, err := r.DistSWR("g1", 0); !errors.Is(err, ErrGraphNotReady) {
+	if _, err := r.DistSWR(t.Context(), "g1", 0); !errors.Is(err, ErrGraphNotReady) {
 		t.Fatalf("query on evicted graph = %v, want ErrGraphNotReady", err)
 	}
 	waitReady(t, r, "g1") // the failed query enqueued the rebuild
-	res, err := r.DistSWR("g1", 0)
+	res, err := r.DistSWR(t.Context(), "g1", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +358,7 @@ func TestDistSWREvictRebuildHammer(t *testing.T) {
 				name = "g2"
 			}
 			for !stop.Load() {
-				res, err := r.DistSWR(name, 0)
+				res, err := r.DistSWR(t.Context(), name, 0)
 				if err != nil {
 					if errors.Is(err, ErrGraphNotReady) {
 						notReady.Add(1) // eviction window; the query enqueued the rebuild
@@ -376,14 +415,14 @@ func TestDistSWRDisabledFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitReady(t, r, "g")
-	res, err := r.DistSWR("g", 0)
+	res, err := r.DistSWR(t.Context(), "g", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stale || res.Version != 1 || res.Dist[1] != 1 {
 		t.Fatalf("fallback answer = %+v", res)
 	}
-	if _, err := r.DistSWR("missing", 0); !errors.Is(err, ErrUnknownGraph) {
+	if _, err := r.DistSWR(t.Context(), "missing", 0); !errors.Is(err, ErrUnknownGraph) {
 		t.Fatalf("unknown graph: %v", err)
 	}
 }

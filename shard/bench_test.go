@@ -2,9 +2,6 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -16,30 +13,10 @@ import (
 // BenchmarkShardedVsMonolithic compares one monolithic engine against the
 // sharded oracle at K ∈ {2, 4} on the testkit grid/gnm pair: build
 // wall-clock, resident memory, and cold + warm single-source query time.
-// With BENCH_SHARD_JSON=<path> the measurements land in a JSON file that
-// CI uploads as the BENCH_shard artifact. The memory column is the number
-// sharding exists for: per-shard resident size (the eviction granularity
-// a registry budget sees during builds) shrinks with K even when the
-// summed total does not.
+// The largest-shard column is the number sharding exists for: per-shard
+// resident size (the eviction granularity a registry budget sees during
+// builds) shrinks with K even when the summed total does not.
 func BenchmarkShardedVsMonolithic(b *testing.B) {
-	type measurement struct {
-		Graph        string  `json:"graph"`
-		Backend      string  `json:"backend"`
-		N            int     `json:"n"`
-		M            int     `json:"m"`
-		BuildMS      float64 `json:"build_ms"`
-		MemoryBytes  int64   `json:"memory_bytes"`
-		LargestShard int64   `json:"largest_shard_bytes"`
-		Boundary     int     `json:"boundary_vertices"`
-		ColdDistMS   float64 `json:"cold_dist_ms"`
-		WarmDistMS   float64 `json:"warm_dist_ms"`
-	}
-	// Keyed by sub-benchmark: the framework re-invokes each closure with
-	// escalating b.N while calibrating, so a plain append would emit
-	// duplicate rows; the map keeps only the final (largest-b.N) run.
-	results := map[string]measurement{}
-	var order []string
-
 	// Grid is the favorable case (boundary ~ K·√n); gnm is the adversary
 	// (an expander's cut is a constant fraction of m, so the overlay is
 	// dense and the boundary MultiSource dominates the build). The gnm
@@ -62,11 +39,10 @@ func BenchmarkShardedVsMonolithic(b *testing.B) {
 	}
 	for _, gc := range graphs {
 		for _, bk := range backends {
-			key := gc.name + "/" + bk.name
-			order = append(order, key)
-			b.Run(key, func(b *testing.B) {
-				var m measurement
-				m.Graph, m.Backend, m.N, m.M = gc.name, bk.name, gc.g.N, gc.g.M()
+			b.Run(gc.name+"/"+bk.name, func(b *testing.B) {
+				var buildNS, coldNS, warmNS int64
+				var memory, largest int64
+				var boundary int
 				for i := 0; i < b.N; i++ {
 					start := time.Now()
 					var backend oracle.Backend
@@ -75,54 +51,41 @@ func BenchmarkShardedVsMonolithic(b *testing.B) {
 						if err != nil {
 							b.Fatal(err)
 						}
-						m.MemoryBytes = eng.MemoryBytes()
-						m.LargestShard = eng.MemoryBytes()
+						memory, largest = eng.MemoryBytes(), eng.MemoryBytes()
 						backend = eng
 					} else {
 						o, err := Build(context.Background(), gc.g, Config{K: bk.k, EpsilonLocal: 0.25})
 						if err != nil {
 							b.Fatal(err)
 						}
-						m.MemoryBytes = o.MemoryBytes()
+						memory, largest = o.MemoryBytes(), 0
 						for _, sh := range o.shards {
-							if mb := sh.eng.MemoryBytes(); mb > m.LargestShard {
-								m.LargestShard = mb
-							}
+							largest = max(largest, sh.eng.MemoryBytes())
 						}
-						m.Boundary = len(o.boundary)
+						boundary = len(o.boundary)
 						backend = o
 					}
-					m.BuildMS = float64(time.Since(start).Nanoseconds()) / 1e6
+					buildNS += time.Since(start).Nanoseconds()
 
 					start = time.Now()
 					if _, err := backend.Dist(1); err != nil {
 						b.Fatal(err)
 					}
-					m.ColdDistMS = float64(time.Since(start).Nanoseconds()) / 1e6
+					coldNS += time.Since(start).Nanoseconds()
 					start = time.Now()
 					if _, err := backend.Dist(1); err != nil {
 						b.Fatal(err)
 					}
-					m.WarmDistMS = float64(time.Since(start).Nanoseconds()) / 1e6
+					warmNS += time.Since(start).Nanoseconds()
 				}
-				results[key] = m
+				perOpMS := func(ns int64) float64 { return float64(ns) / float64(b.N) / 1e6 }
+				b.ReportMetric(perOpMS(buildNS), "build-ms")
+				b.ReportMetric(perOpMS(coldNS), "cold-dist-ms")
+				b.ReportMetric(perOpMS(warmNS), "warm-dist-ms")
+				b.ReportMetric(float64(memory), "memory-bytes")
+				b.ReportMetric(float64(largest), "largest-shard-bytes")
+				b.ReportMetric(float64(boundary), "boundary-vertices")
 			})
 		}
-	}
-	if path := os.Getenv("BENCH_SHARD_JSON"); path != "" && len(results) > 0 {
-		var out []measurement
-		for _, key := range order {
-			if m, ok := results[key]; ok {
-				out = append(out, m)
-			}
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			b.Fatal(err)
-		}
-		fmt.Printf("# wrote %s\n", path)
 	}
 }
